@@ -165,7 +165,7 @@ fn main() {
     let mut total_driven = 0u64;
     let mut total_wall = 0.0f64;
     println!("# hotpath digests ({scale_name} scale, {} envs)", PAPER_10_ENVS.len());
-    for (paging, env) in PAPER_10_ENVS {
+    for (env_index, (paging, env)) in PAPER_10_ENVS.into_iter().enumerate() {
         let cfg = config(workload, paging, env, &scale);
         let label = cfg.label();
         let driven = cfg.warmup + cfg.accesses;
@@ -188,7 +188,7 @@ fn main() {
             wall = wall.min(t.elapsed().as_secs_f64());
         }
         let Some(r) = result else { continue };
-        digests.push((label.clone(), digest(&label, &r)));
+        digests.push((env_index, digest(&label, &r)));
         println!("{}", digests.last().map(|(_, d)| d.as_str()).unwrap_or_default());
         if !quiet {
             eprintln!(
@@ -220,12 +220,14 @@ fn main() {
     let mut attached = None;
     if profile_overhead {
         let mut attached_wall = 0.0f64;
-        for (paging, env) in PAPER_10_ENVS {
+        for (env_index, (paging, env)) in PAPER_10_ENVS.into_iter().enumerate() {
             let cfg = config(workload, paging, env, &scale);
             let label = cfg.label();
             // Envs whose detached run failed have no digest to compare
-            // against; they were already reported above.
-            let Some((_, detached)) = digests.iter().find(|(l, _)| *l == label) else {
+            // against; they were already reported above. Digests are keyed
+            // by catalog index, not label: two catalog envs render the
+            // same `4K+shadow` label.
+            let Some((_, detached)) = digests.iter().find(|(i, _)| *i == env_index) else {
                 continue;
             };
             let mut wall = f64::INFINITY;

@@ -49,9 +49,10 @@
 //!   fast-forward the gap functionally, and re-warm the measurement
 //!   state for WARMUP accesses before each window. Reported counters
 //!   are scaled to full-run estimates (within 2% of full fidelity on
-//!   the PAPER_10 catalog; see EXPERIMENTS.md). Telemetry and the
-//!   profiler ride along (covering the measured windows); chaos and
-//!   trace record/replay need every access detailed and are rejected.
+//!   the PAPER_10 catalog; see EXPERIMENTS.md). Telemetry, the
+//!   profiler and trace record/replay ride along (telemetry and the
+//!   profile cover the measured windows); chaos needs every access
+//!   detailed and is rejected.
 //! * `--trace <N>` — keep the last N walk events in a flight recorder
 //!   (exported into the JSONL file; cleared by a `--trials` merge).
 //!   Default 0 (off).

@@ -147,9 +147,9 @@ impl GridCell {
 
     /// Runs the cell sampled: functional fast-forward between detailed
     /// windows per `spec`, with counters scaled to full-run estimates
-    /// (see [`Simulation::run_sampled`]). Incompatible with chaos,
-    /// adaptation, replay, and recording — such a cell fails with
-    /// [`SimError::Sample`] instead of running.
+    /// (see [`Simulation::run_sampled`]). Composes with replay and
+    /// recording; incompatible with chaos and adaptation — such a cell
+    /// fails with [`SimError::Sample`] instead of running.
     #[must_use]
     pub fn sampled(mut self, spec: SampleSpec) -> GridCell {
         self.sample = Some(spec);

@@ -9,8 +9,8 @@
 //! The driver (`drive`, reached through
 //! [`Simulation::run_instrumented`](crate::Simulation::run_instrumented))
 //! owns everything environment-independent: the warmup counter reset,
-//! instrument attachment, churn scheduling, the per-access fault-retry
-//! budget, and result assembly.
+//! instrument attachment, churn scheduling, the sampling schedule, the
+//! per-access fault-retry budget, and result assembly.
 //!
 //! The machines reproduce the paper's environments — [`NativeMachine`]
 //! (native ± direct segment), [`VirtualizedMachine`] (nested paging in
@@ -33,11 +33,13 @@ pub use native::NativeMachine;
 pub use shadow::ShadowMachine;
 pub use virtualized::VirtualizedMachine;
 
-use mv_adapt::{AdaptReport, AdaptSpec, ModePlan};
-use mv_chaos::{ChaosReport, ChaosSpec};
+use std::ops::Range;
+
+use mv_adapt::{AdaptSpec, ModePlan};
+use mv_chaos::ChaosSpec;
 use mv_core::{LayerStack, MemoryContext, Mmu, MmuConfig, TranslationFault, TranslationMode};
-use mv_obs::{SharedTelemetry, Telemetry, TelemetryConfig, WalkEvent, WalkObserver};
-use mv_prof::{Profile, ProfileConfig, SharedProfile};
+use mv_obs::{SharedTelemetry, TelemetryConfig, WalkEvent, WalkObserver};
+use mv_prof::{ProfileConfig, SharedProfile};
 use mv_trace::{RecordingWorkload, ReplaySource, SharedTraceWriter, TraceError};
 use mv_types::{Gva, MIB};
 use mv_workloads::Workload;
@@ -216,15 +218,16 @@ pub(crate) struct Instruments {
     /// but hands mode policy to the controller; without chaos the
     /// controller still runs (it just never sees faults).
     pub(crate) adapt: Option<AdaptSpec>,
-    /// Forces single-access batches in the driver loop. Exists solely so
+    /// Forces single-access spans in the driver loop. Exists solely so
     /// equivalence tests can run the reference access-at-a-time pacing
     /// against the batched default and assert byte-identical results; it
     /// changes scheduling granularity, never behavior.
     pub(crate) reference_pacing: bool,
     /// Sampled execution: fast-forward functionally between detailed
     /// measurement windows and scale window counters to full-run
-    /// estimates. Incompatible with chaos, adaptation, replay, recording,
-    /// and reference pacing (all of which need every access detailed).
+    /// estimates. Composes with replay, recording and reference pacing;
+    /// incompatible with chaos and adaptation, which act on every
+    /// access's detailed outcome.
     pub(crate) sample: Option<SampleSpec>,
 }
 
@@ -265,16 +268,6 @@ impl Instruments {
         }
         (telemetry, profile)
     }
-}
-
-/// Detaches the observer and closes the telemetry window at `accesses`.
-fn collect_telemetry(
-    mmu: &mut Mmu,
-    shared: Option<SharedTelemetry>,
-    accesses: u64,
-) -> Option<Telemetry> {
-    drop(mmu.take_observer());
-    shared.map(|s| s.take(accesses))
 }
 
 /// Constructs an MMU on `hw` with the environment's translation `mode`.
@@ -324,38 +317,154 @@ impl ChurnPlan {
     }
 }
 
-/// The end (exclusive) of the batch starting at access `i`: the driver
-/// services accesses `[i, end)` back to back, re-checking per-access
-/// schedules only at `end`. The boundary is the earliest of the run end,
-/// the warmup boundary (counter reset + instrument attach), and the next
-/// due churn event — so every scheduled event still fires at exactly the
-/// index it would under access-at-a-time pacing. `per_access` (chaos
-/// active, or the reference pacing used by equivalence tests) degenerates
-/// the batch to a single access, since fault injection and the oracle
-/// hook in before and after every access.
-fn batch_end(i: u64, total: u64, warmup: u64, churn: &ChurnPlan, per_access: bool) -> u64 {
-    if per_access {
-        return i + 1;
+/// Where the driver's spans start and end: the warmup boundary, the
+/// churn schedule, the optional sampling schedule, and whether per-access
+/// work pins every span to a single access.
+#[derive(Debug, Clone, Copy)]
+struct Schedule {
+    total: u64,
+    warmup: u64,
+    churn: ChurnPlan,
+    sample: Option<SampleSpec>,
+    /// Chaos, the adaptive controller, or the reference pacing used by
+    /// equivalence tests: each needs the driver between every two
+    /// accesses.
+    per_access: bool,
+}
+
+impl Schedule {
+    /// The span starting at access `i`: the fidelity to run it at and its
+    /// end (exclusive). The driver runs `[i, end)` back to back and
+    /// re-checks the per-access schedules only at `end`, so `end` is the
+    /// earliest of the run end, the warmup boundary (counter reset +
+    /// instrument attach), the next edge of the sampling schedule, and the
+    /// next due churn event — every scheduled event fires at exactly the
+    /// index it would under access-at-a-time pacing. Without a sampling
+    /// schedule every access is detailed. With one, the run's own warmup
+    /// is still detailed (it fills the TLBs and walk caches exactly as an
+    /// unsampled run would): the schedule tiles the measured region only,
+    /// so the first detailed window opens at the warmup boundary.
+    fn span(&self, i: u64) -> (Phase, u64) {
+        let (phase, end) = match self.sample {
+            _ if i < self.warmup => (Phase::Detailed, self.warmup),
+            Some(spec) => {
+                let (phase, end) = spec.phase_at(i - self.warmup);
+                (phase, self.warmup + end)
+            }
+            None => (Phase::Detailed, self.total),
+        };
+        if self.per_access {
+            return (phase, i + 1);
+        }
+        (phase, end.min(self.total).min(self.churn.next_due(i)))
     }
-    let mut end = total;
-    if i < warmup {
-        end = end.min(warmup);
+}
+
+/// Services `fault` on the access at `va` and retries it through `access`
+/// (one of [`Mmu::access`], [`Mmu::access_warm`] and
+/// [`Mmu::access_functional`]) until it completes, within the per-access
+/// budget. Every fidelity surfaces the same faults, so this one helper
+/// serves all of them.
+///
+/// # Errors
+///
+/// [`SimError::FaultLoop`] carrying the fault observed on the final
+/// iteration — not a synthesized placeholder, so a diverging retry loop
+/// names its real cause — when the machine cannot service it or the
+/// budget runs out; servicing failures propagate.
+fn retry<M: Machine, T>(
+    machine: &mut M,
+    mmu: &mut Mmu,
+    asid: u16,
+    va: Gva,
+    write: bool,
+    mut fault: TranslationFault,
+    access: impl Fn(&mut Mmu, &MemoryContext<'_>, u16, Gva, bool) -> Result<T, TranslationFault>,
+) -> Result<T, SimError> {
+    let mut tries = 0u32;
+    loop {
+        let serviced = machine.service_fault(fault)? == FaultService::Serviced;
+        tries += 1;
+        if !serviced || tries > MAX_FAULTS_PER_ACCESS {
+            return Err(SimError::FaultLoop {
+                va: va.as_u64(),
+                last: fault,
+            });
+        }
+        match access(mmu, &machine.ctx(), asid, va, write) {
+            Ok(done) => return Ok(done),
+            Err(f) => fault = f,
+        }
     }
-    end.min(churn.next_due(i))
+}
+
+/// Runs the accesses of `span` back to back at one fidelity: `access` is
+/// the [`Mmu`] method for it, so each fidelity gets its own monomorphized
+/// copy of this loop. The memory context is a pure borrow of the
+/// machine's tables and spaces (building it costs hash-map lookups), so
+/// one context serves the whole span. A fault ends the borrow — servicing
+/// needs the machine mutably — after which the span resumes with a fresh
+/// one. The sequence of access and `service_fault` calls is identical to
+/// per-access pacing; only the borrow's lifetime changes.
+fn run_span<M: Machine, T>(
+    machine: &mut M,
+    mmu: &mut Mmu,
+    workload: &mut dyn Workload,
+    base: u64,
+    asid: u16,
+    span: Range<u64>,
+    access: impl Fn(&mut Mmu, &MemoryContext<'_>, u16, Gva, bool) -> Result<T, TranslationFault> + Copy,
+) -> Result<(), SimError> {
+    let Range { mut start, end } = span;
+    while start < end {
+        let ctx = machine.ctx();
+        let mut faulted = None;
+        while start < end {
+            let acc = workload.next_access();
+            let va = Gva::new(base + acc.offset);
+            match access(mmu, &ctx, asid, va, acc.write) {
+                Ok(_) => start += 1,
+                Err(fault) => {
+                    faulted = Some((va, acc.write, fault));
+                    break;
+                }
+            }
+        }
+        if let Some((va, write, fault)) = faulted {
+            retry(machine, mmu, asid, va, write, fault, access)?;
+            start += 1;
+        }
+    }
+    Ok(())
 }
 
 /// The single driver loop: runs `cfg` on machine type `M`.
 ///
 /// Owns everything environment-independent — warmup counter reset and
-/// instrument attachment, churn scheduling, the per-access retry budget,
-/// and result assembly — and delegates the rest to the [`Machine`].
+/// instrument attachment, churn scheduling, the sampling schedule, the
+/// per-access retry budget, and result assembly — and delegates the rest
+/// to the [`Machine`]. A full-fidelity run is the schedule in which every
+/// span is detailed.
 pub(crate) fn drive<M: Machine>(
     cfg: &SimConfig,
     hw: MmuConfig,
     instr: &Instruments,
 ) -> Result<(RunResult, Option<mv_core::MissTrace>), SimError> {
     if let Some(spec) = instr.sample {
-        return drive_sampled::<M>(cfg, hw, instr, spec);
+        spec.validate()
+            .map_err(|e| SimError::Sample(SampleError::Spec(e)))?;
+        // Chaos and the controller act on every access's detailed outcome
+        // (injection, the oracle, epoch decisions), which a functional gap
+        // does not produce.
+        let conflict = [
+            (instr.chaos.filter(ChaosSpec::active).is_some(), "chaos"),
+            (instr.adapt.is_some(), "adapt"),
+        ]
+        .into_iter()
+        .find_map(|(active, name)| active.then_some(name));
+        if let Some(what) = conflict {
+            return Err(SimError::Sample(SampleError::Incompatible(what)));
+        }
     }
     let (mut machine, mut mmu) = M::build(cfg, hw)?;
     let mut workload: Box<dyn Workload> = match &instr.replay {
@@ -394,15 +503,21 @@ pub(crate) fn drive<M: Machine>(
         // / balloon denials for the controller to consume.
         c.set_external_policy();
     }
-    let mut telemetry = None;
-    let mut profile = None;
+    let mut attached = (None, None);
     let total = cfg.warmup + cfg.accesses;
     // Chaos and the adaptive controller hook in before and/or after
     // *every* access (residency counting, scheduled injection, epoch
-    // boundaries, the oracle cross-check), so either pins the batch size
-    // to one; the uninstrumented hot path amortizes the warmup and churn
-    // schedule checks across whole batches.
-    let per_access = chaos.is_some() || adapt.is_some() || instr.reference_pacing;
+    // boundaries, the oracle cross-check), so either pins the span to one
+    // access; the uninstrumented hot path amortizes the warmup, churn and
+    // sampling checks across whole spans.
+    let hooked = chaos.is_some() || adapt.is_some();
+    let schedule = Schedule {
+        total,
+        warmup: cfg.warmup,
+        churn,
+        sample: instr.sample,
+        per_access: hooked || instr.reference_pacing,
+    };
     let mut i = 0u64;
     while i < total {
         if i == cfg.warmup {
@@ -411,7 +526,7 @@ pub(crate) fn drive<M: Machine>(
             // all three cover exactly the measured window.
             mmu.reset_counters();
             machine.window_open();
-            (telemetry, profile) = instr.attach(&mut mmu);
+            attached = instr.attach(&mut mmu);
         }
         // Churn is evaluated after the boundary block so a churn event due
         // exactly at `i == warmup` lands inside the measured window (see
@@ -420,15 +535,14 @@ pub(crate) fn drive<M: Machine>(
             machine.churn_event(&mut mmu)?;
         }
         // Everything scheduled by access index fires at the head of a
-        // batch: `batch_end` is the earliest index after `i` at which the
-        // warmup boundary or a churn event could be due, so the checks
-        // above need not run again inside the batch.
-        let end = batch_end(i, total, cfg.warmup, &churn, per_access);
-        debug_assert!(end > i, "a batch always advances");
-        if per_access {
-            // Chaos (or reference pacing) owns this path: batch_end pinned
-            // the batch to a single access, and the hooks need the machine
-            // mutably around it.
+        // span: `Schedule::span` ends it at the earliest index after `i`
+        // at which the warmup boundary, a sampling edge or a churn event
+        // could be due, so the checks above need not run inside it.
+        let (phase, end) = schedule.span(i);
+        debug_assert!(end > i, "a span always advances");
+        if hooked {
+            // A single detailed access (sampling rejects both hooks), with
+            // the machine lent mutably to the hooks around it.
             if let Some(c) = chaos.as_mut() {
                 c.pre_access(&mut machine, &mut mmu, i);
             }
@@ -437,103 +551,77 @@ pub(crate) fn drive<M: Machine>(
                     &mut machine,
                     &mut mmu,
                     chaos.as_mut(),
-                    telemetry.as_ref(),
+                    attached.0.as_ref(),
                     i,
                     cfg.warmup,
                 );
             }
             let acc = workload.next_access();
-            let va = Gva::new(base + acc.offset);
-            let mut tries = 0u32;
-            let outcome = loop {
-                let fault = match mmu.access(&machine.ctx(), asid, va, acc.write) {
-                    Ok(outcome) => break outcome,
-                    Err(fault) => fault,
-                };
-                if machine.service_fault(fault)? == FaultService::Unserviceable {
-                    return Err(SimError::FaultLoop {
-                        va: va.as_u64(),
-                        last: fault,
-                    });
-                }
-                tries += 1;
-                if tries > MAX_FAULTS_PER_ACCESS {
-                    // Report the fault actually observed on the final
-                    // iteration — not a synthesized placeholder — so a
-                    // diverging retry loop names its real cause.
-                    return Err(SimError::FaultLoop {
-                        va: va.as_u64(),
-                        last: fault,
-                    });
-                }
+            let (va, write) = (Gva::new(base + acc.offset), acc.write);
+            let outcome = match mmu.access(&machine.ctx(), asid, va, write) {
+                Ok(outcome) => outcome,
+                Err(f) => retry(&mut machine, &mut mmu, asid, va, write, f, Mmu::access)?,
             };
             if let Some(c) = chaos.as_mut() {
                 c.post_access(&machine, i, va, outcome.hpa.as_u64());
             }
-            i += 1;
-            continue;
-        }
-        // The amortized hot path: the memory context is a pure borrow of
-        // the machine's tables and spaces (building it costs hash-map
-        // lookups), so one context serves the whole batch. A fault ends
-        // the borrow — servicing needs the machine mutably — after which
-        // the batch resumes with a fresh one. The sequence of
-        // `mmu.access` and `service_fault` calls is identical to
-        // per-access pacing; only the borrow's lifetime changes.
-        while i < end {
-            let ctx = machine.ctx();
-            let mut faulted = None;
-            while i < end {
-                let acc = workload.next_access();
-                let va = Gva::new(base + acc.offset);
-                match mmu.access(&ctx, asid, va, acc.write) {
-                    Ok(_) => i += 1,
-                    Err(fault) => {
-                        faulted = Some((va, acc.write, fault));
-                        break;
-                    }
+        } else {
+            let (m, w) = (&mut machine, workload.as_mut());
+            match phase {
+                Phase::Detailed => run_span(m, &mut mmu, w, base, asid, i..end, Mmu::access)?,
+                Phase::Warm => run_span(m, &mut mmu, w, base, asid, i..end, Mmu::access_warm)?,
+                Phase::Functional => {
+                    run_span(m, &mut mmu, w, base, asid, i..end, Mmu::access_functional)?;
                 }
             }
-            let Some((va, write, mut fault)) = faulted else {
-                continue;
-            };
-            let mut tries = 0u32;
-            loop {
-                if machine.service_fault(fault)? == FaultService::Unserviceable {
-                    return Err(SimError::FaultLoop {
-                        va: va.as_u64(),
-                        last: fault,
-                    });
-                }
-                tries += 1;
-                if tries > MAX_FAULTS_PER_ACCESS {
-                    // Report the fault actually observed on the final
-                    // iteration — not a synthesized placeholder — so a
-                    // diverging retry loop names its real cause.
-                    return Err(SimError::FaultLoop {
-                        va: va.as_u64(),
-                        last: fault,
-                    });
-                }
-                match mmu.access(&machine.ctx(), asid, va, write) {
-                    Ok(_) => break,
-                    Err(f) => fault = f,
-                }
-            }
-            i += 1;
         }
+        i = end;
     }
 
     let exits = machine.exit_stats();
-    let chaos_outcome = chaos.map(ChaosDriver::finish);
-    let adapt_outcome = adapt.map(AdaptDriver::finish);
-    // `collect_telemetry` detaches the shared observer (the tee, when both
-    // instruments ran), so the profile handle below is the last one alive.
-    let mut telemetry = collect_telemetry(&mut mmu, telemetry, cfg.accesses);
-    if let (Some(t), Some((_, records))) = (telemetry.as_mut(), chaos_outcome.as_ref()) {
+    Ok(finish(
+        cfg,
+        &mut mmu,
+        workload.as_ref(),
+        exits,
+        attached,
+        chaos,
+        adapt,
+        instr.sample,
+    ))
+}
+
+/// Assembles the [`RunResult`] from the MMU counters and window deltas,
+/// collecting the instruments and the policy drivers' reports. A sampled
+/// run's counters, nested-L2 traffic and telemetry window cover only the
+/// detailed windows; they are scaled to full-run estimates here. VM exits
+/// are *not* scaled: faults are serviced at full cadence through the
+/// gaps, so exits are exact, not sampled.
+#[allow(clippy::too_many_arguments)]
+fn finish(
+    cfg: &SimConfig,
+    mmu: &mut Mmu,
+    workload: &dyn Workload,
+    exits: ExitStats,
+    (telemetry, profile): (Option<SharedTelemetry>, Option<SharedProfile>),
+    chaos: Option<ChaosDriver>,
+    adapt: Option<AdaptDriver>,
+    sample: Option<SampleSpec>,
+) -> (RunResult, Option<mv_core::MissTrace>) {
+    let chaos = chaos.map(ChaosDriver::finish);
+    let adapt = adapt.map(AdaptDriver::finish);
+    // Only detailed (measured) accesses move the counters: for a sampled
+    // run this is the scaling denominator.
+    let measured = mmu.counters().accesses;
+    // Detaching the shared observer (the tee, when both instruments ran)
+    // leaves the profile handle below the last one alive.
+    drop(mmu.take_observer());
+    let window = sample.map_or(cfg.accesses, |_| measured);
+    let mut telemetry = telemetry.map(|t| t.take(window));
+    if let (Some(t), Some((_, records))) = (telemetry.as_mut(), chaos.as_ref()) {
         t.record_transitions(records);
     }
-    if let (Some(t), Some((_, records))) = (telemetry.as_mut(), adapt_outcome.as_ref()) {
+    if let (Some(t), Some((_, records))) = (telemetry.as_mut(), adapt.as_ref()) {
         t.record_transitions(records);
     }
     let profile = profile.map(|p| {
@@ -544,264 +632,54 @@ pub(crate) fn drive<M: Machine>(
         p
     });
     let trace = mmu.take_miss_trace();
-    Ok((
-        finish(
-            cfg,
-            &mmu,
-            workload.name(),
-            workload.cycles_per_access(),
-            exits.cycles,
-            exits.vm_exits,
-            telemetry,
-            profile,
-            chaos_outcome.map(|(report, _)| report),
-            adapt_outcome.map(|(report, _)| report),
-        ),
-        trace,
-    ))
-}
 
-/// One access at the given sampling fidelity. Detailed and warm accesses
-/// share the full miss path (warm just suppresses measurement); the
-/// functional path only updates TLB state. All three surface the same
-/// faults, so the driver's servicing loop is fidelity-agnostic.
-fn sampled_access(
-    mmu: &mut Mmu,
-    ctx: &MemoryContext<'_>,
-    asid: u16,
-    va: Gva,
-    write: bool,
-    phase: Phase,
-) -> Result<(), TranslationFault> {
-    match phase {
-        Phase::Detailed => mmu.access(ctx, asid, va, write).map(drop),
-        Phase::Warm => mmu.access_warm(ctx, asid, va, write).map(drop),
-        Phase::Functional => mmu.access_functional(ctx, asid, va, write).map(drop),
-    }
-}
-
-/// Runs accesses `[start, end)` at one fidelity, with the same batched
-/// context borrow and fault-retry budget as the full-fidelity driver.
-#[allow(clippy::too_many_arguments)]
-fn run_span<M: Machine>(
-    machine: &mut M,
-    mmu: &mut Mmu,
-    workload: &mut dyn Workload,
-    base: u64,
-    asid: u16,
-    phase: Phase,
-    start: u64,
-    end: u64,
-) -> Result<(), SimError> {
-    let mut i = start;
-    while i < end {
-        let ctx = machine.ctx();
-        let mut faulted = None;
-        while i < end {
-            let acc = workload.next_access();
-            let va = Gva::new(base + acc.offset);
-            match sampled_access(mmu, &ctx, asid, va, acc.write, phase) {
-                Ok(()) => i += 1,
-                Err(fault) => {
-                    faulted = Some((va, acc.write, fault));
-                    break;
-                }
-            }
-        }
-        let Some((va, write, mut fault)) = faulted else {
-            continue;
-        };
-        let mut tries = 0u32;
-        loop {
-            if machine.service_fault(fault)? == FaultService::Unserviceable {
-                return Err(SimError::FaultLoop {
-                    va: va.as_u64(),
-                    last: fault,
-                });
-            }
-            tries += 1;
-            if tries > MAX_FAULTS_PER_ACCESS {
-                return Err(SimError::FaultLoop {
-                    va: va.as_u64(),
-                    last: fault,
-                });
-            }
-            match sampled_access(mmu, &machine.ctx(), asid, va, write, phase) {
-                Ok(()) => break,
-                Err(f) => fault = f,
-            }
-        }
-        i += 1;
-    }
-    Ok(())
-}
-
-/// The sampled driver loop: detailed warmup, then alternating detailed
-/// windows, functional gaps, and warm re-heat tails per the
-/// [`SampleSpec`] schedule, with churn and the warmup boundary firing at
-/// exactly the same indices as the full-fidelity driver. Counters are
-/// scaled to full-run estimates at the end; VM exits are *not* scaled
-/// (faults are serviced at full cadence through the gaps, so exits are
-/// exact, not sampled).
-fn drive_sampled<M: Machine>(
-    cfg: &SimConfig,
-    hw: MmuConfig,
-    instr: &Instruments,
-    spec: SampleSpec,
-) -> Result<(RunResult, Option<mv_core::MissTrace>), SimError> {
-    spec.validate()
-        .map_err(|e| SimError::Sample(SampleError::Spec(e)))?;
-    // Every rejected instrument needs each access detailed: chaos and the
-    // controller hook around every access, replay/record must see the
-    // exact full stream's measurements, and reference pacing exists to
-    // prove batching equivalence — meaningless under sampling.
-    let conflict = [
-        (instr.chaos.filter(ChaosSpec::active).is_some(), "chaos"),
-        (instr.adapt.is_some(), "adapt"),
-        (instr.replay.is_some(), "trace replay"),
-        (instr.record.is_some(), "trace recording"),
-        (instr.reference_pacing, "reference pacing"),
-    ]
-    .into_iter()
-    .find_map(|(active, name)| active.then_some(name));
-    if let Some(what) = conflict {
-        return Err(SimError::Sample(SampleError::Incompatible(what)));
-    }
-    let (mut machine, mut mmu) = M::build(cfg, hw)?;
-    let mut workload = cfg.workload.build(cfg.footprint, cfg.seed);
-    let churn = ChurnPlan::new(workload.churn_per_million());
-    let base = machine.arena_base();
-    let asid = machine.asid();
-    let mut telemetry = None;
-    let mut profile = None;
-    let total = cfg.warmup + cfg.accesses;
-    let mut i = 0u64;
-    while i < total {
-        if i == cfg.warmup {
-            mmu.reset_counters();
-            machine.window_open();
-            (telemetry, profile) = instr.attach(&mut mmu);
-        }
-        if churn.due(i) {
-            machine.churn_event(&mut mmu)?;
-        }
-        // The run's own warmup is fully detailed (it fills the TLBs and
-        // walk caches exactly as an unsampled run would); the sampling
-        // schedule tiles the measured region only, so the first detailed
-        // window opens at the warmup boundary.
-        let (phase, phase_end) = if i < cfg.warmup {
-            (Phase::Detailed, cfg.warmup)
-        } else {
-            let (phase, end) = spec.phase_at(i - cfg.warmup);
-            (phase, cfg.warmup + end)
-        };
-        let end = phase_end.min(total).min(churn.next_due(i));
-        debug_assert!(end > i, "a span always advances");
-        run_span(
-            &mut machine,
-            &mut mmu,
-            workload.as_mut(),
-            base,
-            asid,
-            phase,
-            i,
-            end,
-        )?;
-        i = end;
-    }
-
-    let exits = machine.exit_stats();
-    // Only detailed (measured) accesses moved the counters; this is the
-    // scaling denominator.
-    let measured = mmu.counters().accesses;
-    let telemetry = collect_telemetry(&mut mmu, telemetry, measured);
-    let profile = profile.map(|p| {
-        let mut p = p.take();
-        p.record_exits(exits.vm_exits, exits.cycles as u64);
-        p
-    });
-    let trace = mmu.take_miss_trace();
-
-    let counters = mmu.counters().scaled(cfg.accesses, measured);
-    let ideal = cfg.accesses as f64 * workload.cycles_per_access();
-    let translation = counters.translation_cycles as f64 + exits.cycles;
-    // Warm accesses accrue nested-L2 traffic into the debt ledger; what
-    // remains after subtracting it is the measured windows' share, which
-    // scales like every other counter.
-    let (l2_lookups, l2_hits) = mmu.nested_l2_stats();
-    let (debt_lookups, debt_hits) = mmu.nested_l2_debt();
-    let scale = |v: u64| {
-        if measured == 0 {
-            v
-        } else {
-            ((v as u128 * cfg.accesses as u128) / measured as u128) as u64
+    let (counters, nested_l2) = match sample {
+        None => (*mmu.counters(), mmu.nested_l2_stats()),
+        Some(_) => {
+            // Warm accesses accrue nested-L2 traffic into the debt ledger;
+            // what remains after subtracting it is the measured windows'
+            // share, which scales like every other counter.
+            let (lookups, hits) = mmu.nested_l2_stats();
+            let (debt_lookups, debt_hits) = mmu.nested_l2_debt();
+            let scale = |v: u64| match measured {
+                0 => v,
+                m => (u128::from(v) * u128::from(cfg.accesses) / u128::from(m)) as u64,
+            };
+            (
+                mmu.counters().scaled(cfg.accesses, measured),
+                (
+                    scale(lookups.saturating_sub(debt_lookups)),
+                    scale(hits.saturating_sub(debt_hits)),
+                ),
+            )
         }
     };
-    let nested_l2 = (
-        scale(l2_lookups.saturating_sub(debt_lookups)),
-        scale(l2_hits.saturating_sub(debt_hits)),
-    );
-    Ok((
-        RunResult {
-            label: cfg.label(),
-            workload: workload.name(),
-            accesses: cfg.accesses,
-            counters,
-            ideal_cycles: ideal,
-            translation_cycles: translation,
-            overhead: mv_metrics::overhead(translation, ideal),
-            vm_exits: exits.vm_exits,
-            nested_l2,
-            telemetry,
-            profile,
-            chaos: None,
-            adapt: None,
-            sample: Some(SampleSummary {
-                spec,
-                measured_accesses: measured,
-            }),
-        },
-        trace,
-    ))
-}
-
-/// Assembles the [`RunResult`] from the MMU counters and window deltas.
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    cfg: &SimConfig,
-    mmu: &Mmu,
-    workload: &'static str,
-    cycles_per_access: f64,
-    exit_cycles: f64,
-    vm_exits: u64,
-    telemetry: Option<Telemetry>,
-    profile: Option<Profile>,
-    chaos: Option<ChaosReport>,
-    adapt: Option<AdaptReport>,
-) -> RunResult {
-    let counters = *mmu.counters();
-    let ideal = cfg.accesses as f64 * cycles_per_access;
-    let translation = counters.translation_cycles as f64 + exit_cycles;
-    RunResult {
+    let ideal = cfg.accesses as f64 * workload.cycles_per_access();
+    let translation = counters.translation_cycles as f64 + exits.cycles;
+    let result = RunResult {
         label: cfg.label(),
         // The workload's own name, not the configured kind's label: for
         // generator runs the two are identical strings, and for trace
         // replays this reports the trace's workload instead of the
         // placeholder kind the config carries.
-        workload,
+        workload: workload.name(),
         accesses: cfg.accesses,
         counters,
         ideal_cycles: ideal,
         translation_cycles: translation,
         overhead: mv_metrics::overhead(translation, ideal),
-        vm_exits,
-        nested_l2: mmu.nested_l2_stats(),
+        vm_exits: exits.vm_exits,
+        nested_l2,
         telemetry,
         profile,
-        chaos,
-        adapt,
-        sample: None,
-    }
+        chaos: chaos.map(|(report, _)| report),
+        adapt: adapt.map(|(report, _)| report),
+        sample: sample.map(|spec| SampleSummary {
+            spec,
+            measured_accesses: measured,
+        }),
+    };
+    (result, trace)
 }
 
 #[cfg(test)]
@@ -843,56 +721,123 @@ mod tests {
 
     #[test]
     fn batched_iteration_fires_events_at_identical_indices() {
-        // The boundary invariant, exhaustively: walking a run batch by
-        // batch must visit the warmup boundary and every churn index at
-        // exactly the indices the per-access reference loop visits them,
-        // for runs where events land mid-batch, on batch boundaries, and
-        // at the warmup boundary itself (churn interval dividing warmup).
-        for (warmup, accesses, per_million) in [
-            (0u64, 50u64, 0u64),
-            (10, 50, 0),
-            (10, 50, 45_000),     // interval 22: mid-batch events
-            (20, 40, 100_000),    // interval 10: churn due exactly at warmup
-            (7, 30, 1_000_000),   // interval 1: every index is a boundary
-            (30, 0, 500_000),     // warmup only
-        ] {
-            let total = warmup + accesses;
-            let churn = ChurnPlan::new(per_million);
-            let mut reference = Vec::new();
-            for i in 0..total {
-                if i == warmup {
-                    reference.push((i, "warmup"));
+        // The boundary invariant, exhaustively: walking a run span by span
+        // must visit the warmup boundary and every churn index at exactly
+        // the indices the per-access reference loop visits them, and run
+        // every access at the same fidelity, for runs where events land
+        // mid-span, on span boundaries, and at the warmup boundary itself
+        // (churn interval dividing warmup). The sampled schedule's edges
+        // fall on multiples of 11, so some coincide with churn events
+        // (interval 22) and with the warmup boundary.
+        let sampled = SampleSpec {
+            window: 11,
+            interval: 44,
+            warmup: 11,
+        };
+        for sample in [None, Some(sampled)] {
+            for (warmup, accesses, per_million) in [
+                (0u64, 50u64, 0u64),
+                (10, 50, 0),
+                (10, 50, 45_000),   // interval 22: mid-span events
+                (22, 200, 45_000),  // interval 22: churn due exactly at warmup
+                (20, 40, 100_000),  // interval 10
+                (7, 30, 1_000_000), // interval 1: every index is a boundary
+                (30, 0, 500_000),   // warmup only
+            ] {
+                let total = warmup + accesses;
+                let churn = ChurnPlan::new(per_million);
+                let schedule = Schedule {
+                    total,
+                    warmup,
+                    churn,
+                    sample,
+                    per_access: false,
+                };
+                let mut reference = Vec::new();
+                for i in 0..total {
+                    if i == warmup {
+                        reference.push((i, "warmup"));
+                    }
+                    if churn.due(i) {
+                        reference.push((i, "churn"));
+                    }
+                    let phase = match sample {
+                        Some(spec) if i >= warmup => spec.phase_at(i - warmup).0,
+                        _ => Phase::Detailed,
+                    };
+                    reference.push((i, phase_name(phase)));
                 }
-                if churn.due(i) {
-                    reference.push((i, "churn"));
+                let mut spanned = Vec::new();
+                let mut i = 0u64;
+                while i < total {
+                    if i == warmup {
+                        spanned.push((i, "warmup"));
+                    }
+                    if churn.due(i) {
+                        spanned.push((i, "churn"));
+                    }
+                    let (phase, end) = schedule.span(i);
+                    assert!(end > i, "spans advance");
+                    assert!(end <= total, "spans never overrun the run");
+                    // Only the head of a span sees the schedules; the
+                    // rest of it runs at the head's fidelity.
+                    spanned.push((i, phase_name(phase)));
+                    for j in i + 1..end {
+                        assert!(!churn.due(j), "churn due at {j} inside a span");
+                        spanned.push((j, phase_name(phase)));
+                    }
+                    i = end;
                 }
+                assert_eq!(
+                    spanned, reference,
+                    "warmup={warmup} accesses={accesses} churn/M={per_million} sample={sample:?}"
+                );
             }
-            let mut batched = Vec::new();
-            let mut i = 0u64;
-            while i < total {
-                if i == warmup {
-                    batched.push((i, "warmup"));
-                }
-                if churn.due(i) {
-                    batched.push((i, "churn"));
-                }
-                let end = batch_end(i, total, warmup, &churn, false);
-                assert!(end > i, "batches advance");
-                assert!(end <= total, "batches never overrun the run");
-                i = end;
-            }
-            assert_eq!(
-                batched, reference,
-                "warmup={warmup} accesses={accesses} churn/M={per_million}"
-            );
+        }
+    }
+
+    fn phase_name(phase: Phase) -> &'static str {
+        match phase {
+            Phase::Detailed => "detailed",
+            Phase::Warm => "warm",
+            Phase::Functional => "functional",
         }
     }
 
     #[test]
     fn per_access_pacing_degenerates_to_single_access_batches() {
-        let churn = ChurnPlan::new(0);
-        assert_eq!(batch_end(5, 100, 0, &churn, true), 6);
-        assert_eq!(batch_end(5, 100, 0, &churn, false), 100);
+        let paced = Schedule {
+            total: 100,
+            warmup: 0,
+            churn: ChurnPlan::new(0),
+            sample: None,
+            per_access: true,
+        };
+        let batched = Schedule {
+            per_access: false,
+            ..paced
+        };
+        assert_eq!(paced.span(5), (Phase::Detailed, 6));
+        assert_eq!(batched.span(5), (Phase::Detailed, 100));
+        // A sampled schedule keeps its fidelity under per-access pacing:
+        // offsets 2..5 of each 6-access interval are a functional gap.
+        let spec = Some(SampleSpec {
+            window: 2,
+            interval: 6,
+            warmup: 1,
+        });
+        let paced = Schedule {
+            sample: spec,
+            ..paced
+        };
+        let batched = Schedule {
+            sample: spec,
+            ..batched
+        };
+        assert_eq!(paced.span(3), (Phase::Functional, 4));
+        assert_eq!(batched.span(3), (Phase::Functional, 5));
+        assert_eq!(paced.span(5), (Phase::Warm, 6));
+        assert_eq!(batched.span(5), (Phase::Warm, 6));
     }
 
     #[test]

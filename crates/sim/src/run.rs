@@ -37,7 +37,7 @@ pub enum SimError {
     /// footprint mismatch against the run configuration).
     Trace(TraceError),
     /// A sampled run was rejected (invalid schedule, or sampling combined
-    /// with an instrument that needs every access detailed).
+    /// with chaos or the adaptive controller).
     Sample(SampleError),
 }
 
@@ -196,25 +196,29 @@ impl Simulation {
     }
 
     /// Runs with the driver's batching disabled: every access is paced
-    /// one at a time, re-checking the warmup boundary and churn schedule
-    /// before each, exactly as the pre-batching driver did. Scheduling
-    /// granularity is the *only* difference from the batched path, so the
-    /// results must be byte-identical — the batch-boundary equivalence
-    /// tests assert exactly that. Not part of the supported API.
+    /// one at a time, re-checking the warmup boundary, the churn schedule
+    /// and (when `sample` is set) the sampling schedule before each,
+    /// exactly as the pre-batching driver did. Scheduling granularity is
+    /// the *only* difference from the batched path, so the results must
+    /// be byte-identical — the batch-boundary equivalence tests assert
+    /// exactly that. Not part of the supported API.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Simulation::run`].
+    /// Same conditions as [`Simulation::run`], plus [`SimError::Sample`]
+    /// as for [`Simulation::run_sampled`].
     #[doc(hidden)]
     pub fn run_reference_paced(
         cfg: &SimConfig,
         hw: MmuConfig,
         telemetry: Option<TelemetryConfig>,
         chaos: Option<ChaosSpec>,
+        sample: Option<SampleSpec>,
     ) -> Result<RunResult, SimError> {
         let instr = Instruments {
             telemetry,
             chaos,
+            sample,
             reference_pacing: true,
             ..Instruments::default()
         };
@@ -339,7 +343,9 @@ impl Simulation {
     /// [`RunResult::sample`]. VM exits are exact (faults are serviced at
     /// full cadence through the gaps), and the TLBs stay architecturally
     /// warm across gaps; the walk caches are re-heated by each interval's
-    /// warm tail instead.
+    /// warm tail instead. Sampling composes with trace replay and
+    /// recording (through [`GridCell`](crate::GridCell)); chaos and the
+    /// adaptive controller are rejected.
     ///
     /// # Errors
     ///

@@ -107,9 +107,9 @@ impl std::error::Error for SampleParseError {}
 pub enum SampleError {
     /// The schedule itself is invalid.
     Spec(SampleSpecError),
-    /// Sampling was combined with an instrument that needs every access
-    /// detailed (chaos, the adaptive controller, trace replay/recording,
-    /// or reference pacing).
+    /// Sampling was combined with an instrument that acts on every
+    /// access's detailed outcome: chaos (injection and the oracle) or the
+    /// adaptive controller (epoch decisions).
     Incompatible(&'static str),
 }
 

@@ -84,6 +84,12 @@ hotpath_bin=target/release/hotpath
 "$hotpath_bin" --smoke --jobs 4 --quiet > "$tmpdir/hot4.txt"
 diff -u "$tmpdir/hot1.txt" "$tmpdir/hot4.txt"
 
+echo "==> profiler-overhead leg: hotpath --quick --profile-overhead"
+# Asserts every profiled run reproduces its detached digest. Digests are
+# keyed by catalog index: the PAPER_10 catalog has two envs labelled
+# 4K+shadow, and a label-keyed lookup compared the wrong pair.
+"$hotpath_bin" --quick --profile-overhead --repeats 1 --quiet > /dev/null
+
 echo "==> profiler smoke: run --quick --profile, two seeds, diffed across --jobs 1/4"
 # Attribution profiles merge associatively, so worker count must not
 # change a byte of the profile JSONL — and attaching the profiler must
@@ -196,6 +202,15 @@ diff -u "$tmpdir/tr_live.jsonl" "$tmpdir/tr_replay.jsonl"
 "$run_bin" --quick --env dd --quiet --csv --trials 3 --jobs 4 \
     --replay-trace "$tmpdir/gups.mvtr" > "$tmpdir/tr_j4.csv"
 diff -u "$tmpdir/tr_j1.csv" "$tmpdir/tr_j4.csv"
+# Sampling composes with record/replay: a trace recorded during a
+# sampled run, replayed with the same spec, reproduces the live sampled
+# run.
+"$run_bin" --quick --workload memcached --env 4k+4k --quiet --csv \
+    --sample 2000:10000:500 \
+    --record-trace "$tmpdir/sampled.mvtr" > "$tmpdir/tr_s_live.csv"
+"$run_bin" --quick --env 4k+4k --quiet --csv --sample 2000:10000:500 \
+    --replay-trace "$tmpdir/sampled.mvtr" > "$tmpdir/tr_s_replay.csv"
+diff -u "$tmpdir/tr_s_live.csv" "$tmpdir/tr_s_replay.csv"
 # The trace tool validates recordings, the pinned fixture, and its own
 # synthesizers.
 "$trace_bin" info "$tmpdir/gups.mvtr" > /dev/null

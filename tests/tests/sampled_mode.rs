@@ -6,10 +6,17 @@
 //! The bound asserted here (2%) is the one `scripts/ci.sh` gates on and
 //! the one EXPERIMENTS.md quotes; tighten it only with data.
 
-use mv_bench::experiments::env_catalog::{NamedEnv, PAPER_10_ENVS};
+use std::num::NonZeroUsize;
+
+use mv_bench::experiments::env_catalog::{NamedEnv, PAPER_10_ENVS, SHADOW_4K, VIRT_4K_4K};
+use mv_chaos::ChaosSpec;
 use mv_core::MmuConfig;
 use mv_obs::EpochSnapshot;
-use mv_sim::{SampleSpec, SimConfig, SimError, Simulation};
+use mv_sim::{
+    AdaptSpec, CellFailure, GridCell, MemSink, ReplaySource, SampleError, SampleSpec,
+    SharedTraceWriter, SimConfig, SimError, Simulation, TelemetryConfig,
+};
+use mv_trace::TraceHeader;
 use mv_types::MIB;
 use mv_workloads::WorkloadKind;
 
@@ -113,8 +120,9 @@ fn sampled_estimates_track_full_runs_within_two_percent() {
     eprintln!("worst sampled-vs-full deviation: {:.3}% ({})", worst.0 * 100.0, worst.1);
 }
 
-/// Sampling refuses instruments that need every access detailed, and
-/// refuses malformed schedules, with typed errors.
+/// Sampling refuses the instruments that act on every access's detailed
+/// outcome (chaos and the adaptive controller), and refuses malformed
+/// schedules, with typed errors.
 #[test]
 fn sampling_rejects_incompatible_instruments_and_bad_specs() {
     let cfg = cfg(WorkloadKind::Gups, PAPER_10_ENVS[0]);
@@ -136,6 +144,120 @@ fn sampling_rejects_incompatible_instruments_and_bad_specs() {
         Simulation::run_sampled(&cfg, MmuConfig::default(), None, fills),
         Err(SimError::Sample(_))
     ));
+
+    let cells = [
+        GridCell::new(cfg)
+            .with_chaos(ChaosSpec::new(7, 1_000))
+            .sampled(SPEC),
+        GridCell::new(cfg).adaptive(AdaptSpec::new(7)).sampled(SPEC),
+    ];
+    let report = Simulation::run_grid(&cells, NonZeroUsize::MIN);
+    let rejected: Vec<&str> = report
+        .failures()
+        .map(|(_, failure)| match failure {
+            CellFailure::Sim(SimError::Sample(SampleError::Incompatible(what))) => *what,
+            other => panic!("expected a typed incompatibility, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(rejected, ["chaos", "adapt"]);
+}
+
+fn telemetry() -> TelemetryConfig {
+    TelemetryConfig {
+        epoch_len: 2_000,
+        flight_capacity: 0,
+    }
+}
+
+/// A memcached run small enough for the trace tests: churn every 22
+/// accesses, so a replay must reproduce the churn schedule from the
+/// trace header. The stream depends only on (footprint, seed), so one
+/// recording serves every environment.
+fn trace_cfg(env: NamedEnv) -> SimConfig {
+    SimConfig {
+        accesses: 20_000,
+        warmup: 5_000,
+        ..cfg(WorkloadKind::Memcached, env)
+    }
+}
+
+/// Records the access stream of `cfg`, optionally sampled, through a
+/// one-cell grid and returns the sealed trace bytes.
+fn record_cell(cfg: &SimConfig, sample: Option<SampleSpec>) -> Vec<u8> {
+    let header = TraceHeader::for_workload(
+        cfg.workload,
+        cfg.footprint,
+        cfg.seed,
+        cfg.warmup,
+        cfg.accesses,
+    );
+    let sink = MemSink::new();
+    let recorder = SharedTraceWriter::create(Box::new(sink.clone()), &header).expect("recorder");
+    let mut cell = GridCell::new(*cfg).recorded(recorder.clone());
+    if let Some(spec) = sample {
+        cell = cell.sampled(spec);
+    }
+    let report = Simulation::run_grid(&[cell], NonZeroUsize::MIN);
+    assert_eq!(report.failures().count(), 0, "recording cell failed");
+    assert_eq!(
+        recorder.finish().expect("seal trace"),
+        cfg.warmup + cfg.accesses
+    );
+    sink.bytes()
+}
+
+/// Everything observable about one sampled result as a byte string.
+fn sampled_fingerprint(r: &mv_sim::RunResult) -> Vec<u8> {
+    let mut out = r.csv_row().into_bytes();
+    out.extend_from_slice(format!("\n{:?}\n", r.sample).as_bytes());
+    r.telemetry
+        .as_ref()
+        .expect("telemetry attached")
+        .write_jsonl(&mut out)
+        .expect("jsonl export");
+    out
+}
+
+/// Every access consumes exactly one stream item whatever its fidelity,
+/// so recording rides a sampled run without changing the trace.
+#[test]
+fn trace_recorded_during_sampled_run_matches_unsampled_recording() {
+    let cfg = trace_cfg(VIRT_4K_4K);
+    let unsampled = record_cell(&cfg, None);
+    let sampled = record_cell(&cfg, Some(SPEC));
+    assert!(unsampled == sampled, "sampling changed the recorded stream");
+}
+
+/// A sampled replay of a trace recorded from the same configuration
+/// reproduces the sampled live run byte for byte — CSV row, sample
+/// summary and telemetry — at any worker count.
+#[test]
+fn sampled_replay_reproduces_sampled_live_run() {
+    let envs = [VIRT_4K_4K, SHADOW_4K];
+    let trace = ReplaySource::bytes(record_cell(&trace_cfg(envs[0]), None));
+    let mut expected = Vec::new();
+    let mut cells = Vec::new();
+    for env in envs {
+        let cfg = trace_cfg(env);
+        let live = Simulation::run_sampled(&cfg, MmuConfig::default(), Some(telemetry()), SPEC)
+            .expect("sampled live run");
+        expected.extend(sampled_fingerprint(&live));
+        cells.push(
+            GridCell::new(cfg)
+                .observed(telemetry())
+                .replayed(trace.clone())
+                .sampled(SPEC),
+        );
+    }
+    for jobs in [1, 4] {
+        let report = Simulation::run_grid(&cells, NonZeroUsize::new(jobs).expect("jobs"));
+        assert_eq!(report.failures().count(), 0, "sampled replay cell failed");
+        let replayed: Vec<u8> = report.results().flat_map(sampled_fingerprint).collect();
+        assert!(
+            replayed == expected,
+            "sampled replay diverged from the sampled live runs at --jobs {jobs}"
+        );
+    }
 }
 
 /// Telemetry rides a sampled run: epochs cover the measured (detailed)
